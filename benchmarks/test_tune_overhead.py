@@ -40,7 +40,7 @@ def make_sim(with_controllers):
     )
     if with_controllers:
         sim.controllers = ControllerSet(
-            [RepadController(sim._evaluator)]
+            [RepadController(sim.evaluator)]
         ).bind(sim.obs)
     return sim
 

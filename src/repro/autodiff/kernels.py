@@ -25,6 +25,8 @@ re-capturing.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Callable, Dict
 
 import numpy as np
@@ -304,8 +306,22 @@ def _cast_out(arr: np.ndarray) -> np.ndarray:
 # cached scratch — means every BLAS call sees the same shapes for the same
 # absolute row range, so row k of the result depends only on row k of ``a``
 # and on ``b``, never on M.
+#
+# The scratch is per thread: numpy releases the GIL inside matmul, so a
+# shared buffer would let concurrent callers (serve workers) overwrite each
+# other's tail block.  Each thread keeps at most ``_MM_SCRATCH_CAP`` shapes,
+# least recently used evicted first — K is the edge count in training and
+# changes with every batch, so an unbounded cache grows without limit.
 _MM_BLOCK = 128
-_mm_scratch: dict = {}
+_MM_SCRATCH_CAP = 32
+_mm_local = threading.local()
+
+
+def _mm_scratch() -> "OrderedDict":
+    cache = getattr(_mm_local, "scratch", None)
+    if cache is None:
+        cache = _mm_local.scratch = OrderedDict()
+    return cache
 
 
 def _blocked_matmul(a, b, out):
@@ -318,10 +334,15 @@ def _blocked_matmul(a, b, out):
     rem = M - full
     if rem:
         key = (K, N, res.dtype)
-        sc = _mm_scratch.get(key)
+        cache = _mm_scratch()
+        sc = cache.get(key)
         if sc is None:
             sc = (np.zeros((_MM_BLOCK, K), res.dtype), np.empty((_MM_BLOCK, N), res.dtype))
-            _mm_scratch[key] = sc
+            cache[key] = sc
+            if len(cache) > _MM_SCRATCH_CAP:
+                cache.popitem(last=False)
+        else:
+            cache.move_to_end(key)
         sc_a, sc_c = sc
         sc_a[:rem] = a[full:]
         sc_a[rem:] = 0.0

@@ -161,7 +161,7 @@ def run_md(spec: ScenarioSpec, workdir: Path, bug: Optional[str] = None) -> Dict
             if stage == "replay":
                 plan.raise_if_fires(REPLAY_FAIL)
 
-        sim._evaluator.fault_hook = hook
+        sim.evaluator.fault_hook = hook
     manager_cls = CheckpointManager
     if bug == "md.unverified_checkpoint_load":
         manager_cls = _UnverifiedCheckpointManager

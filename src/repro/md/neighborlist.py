@@ -238,6 +238,28 @@ def filter_by_pair_cutoffs(
     return NeighborList(nl.edge_index[:, keep], nl.shifts[keep])
 
 
+def prune_to_pair_cutoffs(
+    nl: NeighborList,
+    positions: np.ndarray,
+    species: np.ndarray,
+    potential,
+    skin: float = 0.0,
+) -> NeighborList:
+    """Prune a list built at ``potential.cutoff + skin`` to the potential's
+    per-species-pair cutoffs (each widened by ``skin``).
+
+    A no-op for potentials without a ``pair_cutoffs`` matrix or with a
+    uniform one.  Pruning the skinned list is safe because the model
+    envelope zeroes every edge between r_c(pair) and r_c(pair) + skin.
+    """
+    pair_cutoffs = getattr(potential, "pair_cutoffs", None)
+    if pair_cutoffs is None or np.allclose(pair_cutoffs, potential.cutoff):
+        return nl
+    return filter_by_pair_cutoffs(
+        nl, positions, species, np.asarray(pair_cutoffs) + skin
+    )
+
+
 def ordered_pair_counts(
     system: System, cutoff_matrix: np.ndarray
 ) -> Tuple[int, int]:
@@ -306,6 +328,36 @@ class VerletList:
             self.n_builds += 1
             self._since_check = 0
         return self._nl
+
+    def get_state(self) -> dict:
+        """Checkpointable bookkeeping: reference positions, build count,
+        check cadence and the current list (see :meth:`set_state`)."""
+        return {
+            "ref_positions": (
+                None if self._ref_positions is None else self._ref_positions.copy()
+            ),
+            "n_builds": self.n_builds,
+            "since_check": self._since_check,
+            "nl": (
+                None
+                if self._nl is None
+                else (self._nl.edge_index.copy(), self._nl.shifts.copy())
+            ),
+        }
+
+    def set_state(self, state: dict) -> None:
+        """Restore :meth:`get_state` output: the same rebuild schedule resumes."""
+        self.n_builds = int(state["n_builds"])
+        # Older checkpoints predate the check-cadence counter; 0 restores
+        # the legacy check-every-step schedule for them.
+        self._since_check = int(state.get("since_check", 0))
+        ref = state["ref_positions"]
+        self._ref_positions = None if ref is None else np.array(ref)
+        if state["nl"] is None:
+            self._nl = None
+        else:
+            edge_index, shifts = state["nl"]
+            self._nl = NeighborList(np.array(edge_index), np.array(shifts))
 
     def _needs_rebuild(self, system: System) -> bool:
         if self._nl is None or self._ref_positions is None:

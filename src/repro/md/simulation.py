@@ -1,11 +1,24 @@
-"""The MD driver: the LAMMPS-equivalent loop at single-process scale.
+"""The MD driver: one LAMMPS-equivalent step loop for every force backend.
 
-Sequence per step (velocity Verlet): half kick → drift → neighbor
-check/rebuild (Verlet skin; positions are wrapped exactly at rebuilds so
-stored shift vectors stay valid) → force call → half kick → thermostat →
-barostat.  The driver records energies, temperatures, per-step pair counts
-(which feed the fig. 5 allocator simulation) and wall-time throughput in
-timesteps/s — the paper's primary performance metric.
+Sequence per step (velocity Verlet): half kick → drift → force call →
+half kick → thermostat → barostat.  The driver records energies,
+temperatures, per-step pair counts (which feed the fig. 5 allocator
+simulation) and wall-time throughput in timesteps/s — the paper's primary
+performance metric.
+
+The force call has two backends, and they differ only in how a step's
+energy, forces and pair count are obtained and how the neighbor
+bookkeeping is checkpointed:
+
+* **serial** — a potential (eager, or compiled to a
+  :class:`~repro.engine.CompiledPotential`) evaluated on a skinned
+  :class:`~repro.md.neighborlist.VerletList`; positions are wrapped exactly
+  at rebuilds so stored shift vectors stay valid;
+* **decomposed** — a :class:`~repro.parallel.ParallelForceEvaluator`, which
+  partitions the system over a virtual process grid, exchanges halos and
+  assembles global forces (``pair_allegro`` under LAMMPS).  Strict
+  locality makes the decomposition invisible to the dynamics, so the same
+  loop integrates both (paper §IV–V).
 
 Resilience (paper §VII-B: 2.5M-step runs on failure-prone hardware):
 
@@ -21,9 +34,10 @@ Resilience (paper §VII-B: 2.5M-step runs on failure-prone hardware):
   uninterrupted trajectory **bitwise** in float64 (see
   ``tests/test_resilience.py``).
 
-Multi-rank runs use :mod:`repro.parallel.driver`, which wraps the same
-potential in a spatial decomposition; this serial driver is the reference
-it is validated against.
+Every loop feature — watchdog recovery, callbacks, recorder, controllers,
+``md.*`` spans and counters, checkpoints and binary dumps — therefore
+reaches both backends.  :class:`repro.parallel.ParallelSimulation` is this
+driver with a decomposed evaluator built from ``n_ranks``.
 """
 
 from __future__ import annotations
@@ -37,7 +51,7 @@ import numpy as np
 from ..obs import Registry, get_tracer, span
 from ..resilience.guards import NumericalInstabilityError, validate_energy_forces
 from .integrators import VelocityVerlet
-from .neighborlist import NeighborList, VerletList
+from .neighborlist import VerletList, prune_to_pair_cutoffs
 from .system import System
 from .trajectory import TrajectoryRecorder
 
@@ -101,10 +115,16 @@ def _restore_coupling_state(obj, state: Optional[dict]) -> None:
 
 
 class Simulation:
-    """Single-process MD of a :class:`System` under a Potential.
+    """MD of a :class:`System` under a potential or a force evaluator.
 
     Parameters
     ----------
+    potential:
+        A potential (run eagerly or compiled per ``engine``), a pre-built
+        :class:`~repro.engine.CompiledPotential`, or a
+        :class:`~repro.parallel.ParallelForceEvaluator` (the decomposed
+        backend: its own skin and engine apply, so ``skin``, ``engine``
+        and ``padding`` here are ignored).
     thermostat:
         Optional NVT coupling, applied once per step after the second
         half-kick.
@@ -120,6 +140,11 @@ class Simulation:
         ``neigh_modify every N``); 1 checks every step.  Values > 1 are
         only sound with a skin generous enough to cover the unchecked
         drift — the ``md`` tuning target searches the two jointly.
+        Serial backend only, like ``barostat``: the decomposition is not
+        validated under a changing cell or a skipped displacement check.
+    registry:
+        Defaults to the decomposed evaluator's registry (one tree for
+        comm, per-rank engines and the loop) or a fresh one.
     padding:
         Engine capture headroom (paper §V-C) when ``engine="compiled"``;
         forwarded to ``potential.compile(padding=...)``.  Ignored for
@@ -147,37 +172,61 @@ class Simulation:
         controllers=None,
     ) -> None:
         from ..engine import CompiledPotential
+        from ..parallel.driver import ParallelForceEvaluator
 
         self.system = system
+        self._decomposed = isinstance(potential, ParallelForceEvaluator)
+        if registry is None and self._decomposed:
+            registry = potential.obs
         # One obs.Registry per simulation (injectable, e.g. the CLI profile
         # shares a single tree across layers); a compiled evaluator built
         # here records its engine.* counters into the same registry.
         self.obs = registry if registry is not None else Registry()
-        if isinstance(potential, CompiledPotential):
+        if self._decomposed:
+            if barostat is not None or neighbor_every != 1:
+                raise ValueError(
+                    "a decomposed evaluator supports neither a barostat nor "
+                    "neighbor_every > 1"
+                )
+            self.potential = potential.potential
+            self.evaluator = potential
+            engine = potential.engine
+        elif isinstance(potential, CompiledPotential):
             # Accept a pre-compiled evaluator directly; keep the raw model
             # for cutoff / pair-cutoff bookkeeping.
             self.potential = potential.potential
-            self._evaluator = potential
+            self.evaluator = potential
             engine = "compiled"
         elif engine == "compiled":
             # Capture-once/replay-many deployment mode (paper §V-C): the
             # hot loop below then replays a fixed kernel plan instead of
             # rebuilding the autodiff tape every step.
             self.potential = potential
-            self._evaluator = potential.compile(padding=padding, registry=self.obs)
+            self.evaluator = potential.compile(padding=padding, registry=self.obs)
         elif engine == "eager":
             self.potential = potential
-            self._evaluator = potential
+            self.evaluator = potential
         else:
             raise ValueError(f"unknown engine {engine!r} (use 'eager' or 'compiled')")
+        n_species = getattr(self.potential, "n_species", None)
+        if n_species is not None and system.n_species > n_species:
+            raise ValueError(
+                f"species id {system.n_species - 1} is out of range for a "
+                f"potential with n_species={n_species}"
+            )
         self.engine = engine
         self.integrator = VelocityVerlet(dt)
         self.thermostat = thermostat
         self.barostat = barostat
         self.watchdog = watchdog
-        self.verlet = VerletList(
+        # Neighbor bookkeeping: the decomposed evaluator keeps its own
+        # per-rank lists; the serial backend uses a skinned Verlet list.
+        self.verlet = None if self._decomposed else VerletList(
             self.potential.cutoff, skin=skin, check_every=neighbor_every
         )
+        self._neighbors = self.evaluator if self._decomposed else self.verlet
+        #: Per-rank work of the last decomposed force call (None when serial).
+        self.last_stats = None
         self.recorder = recorder
         self.controllers = controllers
         if controllers is not None:
@@ -200,8 +249,10 @@ class Simulation:
 
     def engine_stats(self) -> Optional[dict]:
         """Capture/replay counters when running compiled; None when eager."""
+        if self._decomposed:
+            return self.evaluator.engine_stats()
         if self.engine == "compiled":
-            return self._evaluator.stats()
+            return self.evaluator.stats()
         return None
 
     def stats(self) -> dict:
@@ -215,7 +266,7 @@ class Simulation:
         snap = self.obs.snapshot()
         snap["engine_stats"] = self.engine_stats()
         snap["n_recoveries"] = self.n_recoveries
-        snap["neighbor_builds"] = self.verlet.n_builds
+        snap["neighbor_builds"] = self._neighbors.n_builds
         snap["phases"] = get_tracer().phase_totals("md.")
         if self.controllers is not None:
             snap["controllers"] = self.controllers.stats()
@@ -226,36 +277,34 @@ class Simulation:
         self._callbacks.append(fn)
 
     def _compute_forces(self) -> tuple[float, np.ndarray, int]:
-        with span("md.neighbor") as sp:
-            builds_before = self.verlet.n_builds
-            nl = self.verlet.get(self.system)
-            if hasattr(self.potential, "prepare_neighbors") and not np.allclose(
-                getattr(self.potential, "pair_cutoffs", self.potential.cutoff),
-                self.potential.cutoff,
-            ):
-                # Per-species-pair pruning happens on the skinned list; the
-                # model envelope zeroes anything between r_c(pair) and the
-                # skin anyway, so we prune against the model's own matrix for
-                # speed.
-                from .neighborlist import filter_by_pair_cutoffs
-
-                nl = filter_by_pair_cutoffs(
-                    nl,
+        """(energy, forces, pair count) of the current configuration."""
+        builds_before = self._neighbors.n_builds
+        if not self._decomposed:
+            with span("md.neighbor") as sp:
+                nl = prune_to_pair_cutoffs(
+                    self.verlet.get(self.system),
                     self.system.positions,
                     self.system.species,
-                    self.potential.pair_cutoffs + self.verlet.skin,
+                    self.potential,
+                    self.verlet.skin,
                 )
-            rebuilt = self.verlet.n_builds - builds_before
-            if rebuilt:
-                self._c_rebuilds.inc(rebuilt)
-                sp.add("rebuilds", rebuilt)
-            sp.add("pairs", nl.n_edges)
-        self._c_pairs.inc(nl.n_edges)
+                sp.add("pairs", nl.n_edges)
         with span("md.force"):
             t0 = time.perf_counter()
-            e, f = self._evaluator.energy_and_forces(self.system, nl)
+            if self._decomposed:
+                # Partition, halo exchange and per-rank lists all happen
+                # inside the evaluator (parallel.* spans under md.force).
+                e, f, self.last_stats = self.evaluator.compute(self.system)
+                n_pairs = int(self.last_stats.n_edges.sum())
+            else:
+                e, f = self.evaluator.energy_and_forces(self.system, nl)
+                n_pairs = nl.n_edges
             self._h_force.observe(time.perf_counter() - t0)
-        return e, f, nl.n_edges
+        rebuilt = self._neighbors.n_builds - builds_before
+        if rebuilt:
+            self._c_rebuilds.inc(rebuilt)
+        self._c_pairs.inc(n_pairs)
+        return e, f, n_pairs
 
     # -- checkpointable state -------------------------------------------------
     def get_state(self) -> dict:
@@ -264,27 +313,14 @@ class Simulation:
         Captures everything the step loop reads: phase-space coordinates,
         the cell, coupling internals (thermostat RNG stream, Nosé–Hoover
         friction, barostat pressure memory), cached forces/energy, and the
-        Verlet-list bookkeeping (reference positions + current list), so a
-        restored run follows the *same* rebuild/wrap schedule — the
-        ingredient that makes resume bitwise-identical rather than merely
-        statistically equivalent.
+        neighbor bookkeeping — the Verlet list under ``"verlet"``, or the
+        decomposition's shards, reference positions and previous owners at
+        top level next to ``"parallel": True`` — so a restored run follows
+        the *same* rebuild/wrap/migration schedule: the ingredient that
+        makes resume bitwise-identical rather than merely statistically
+        equivalent.
         """
-        verlet_state: dict = {
-            "ref_positions": (
-                None
-                if self.verlet._ref_positions is None
-                else self.verlet._ref_positions.copy()
-            ),
-            "n_builds": self.verlet.n_builds,
-            "since_check": self.verlet._since_check,
-            "nl": None,
-        }
-        if self.verlet._nl is not None:
-            verlet_state["nl"] = (
-                self.verlet._nl.edge_index.copy(),
-                self.verlet._nl.shifts.copy(),
-            )
-        return {
+        state = {
             "format": 1,
             "step_count": self.step_count,
             "positions": self.system.positions.copy(),
@@ -296,13 +332,24 @@ class Simulation:
             "forces": None if self._forces is None else self._forces.copy(),
             "thermostat": _capture_coupling_state(self.thermostat),
             "barostat": _capture_coupling_state(self.barostat),
-            "verlet": verlet_state,
         }
+        if self._decomposed:
+            state["parallel"] = True
+            state.update(self.evaluator.get_state())
+        else:
+            state["verlet"] = self.verlet.get_state()
+        return state
 
     def set_state(self, state: dict) -> None:
         """Restore :meth:`get_state` output (same system size/topology)."""
         if state.get("format") != 1:
             raise ValueError(f"unknown checkpoint format {state.get('format')!r}")
+        if bool(state.get("parallel")) != self._decomposed:
+            kinds = ("serial", "decomposed")
+            raise ValueError(
+                f"a {kinds[bool(state.get('parallel'))]} checkpoint cannot "
+                f"restore a {kinds[self._decomposed]} simulation"
+            )
         positions = np.asarray(state["positions"], dtype=np.float64)
         if positions.shape != self.system.positions.shape:
             raise ValueError(
@@ -319,19 +366,11 @@ class Simulation:
         self._pe = float(state["pe"])
         self._forces = None if state["forces"] is None else np.array(state["forces"])
         _restore_coupling_state(self.thermostat, state["thermostat"])
-        _restore_coupling_state(self.barostat, state["barostat"])
-        verlet_state = state["verlet"]
-        self.verlet.n_builds = int(verlet_state["n_builds"])
-        # Older checkpoints predate the check-cadence counter; 0 restores
-        # the legacy check-every-step schedule for them.
-        self.verlet._since_check = int(verlet_state.get("since_check", 0))
-        ref = verlet_state["ref_positions"]
-        self.verlet._ref_positions = None if ref is None else np.array(ref)
-        if verlet_state["nl"] is None:
-            self.verlet._nl = None
+        _restore_coupling_state(self.barostat, state.get("barostat"))
+        if self._decomposed:
+            self.evaluator.set_state(state)
         else:
-            edge_index, shifts = verlet_state["nl"]
-            self.verlet._nl = NeighborList(np.array(edge_index), np.array(shifts))
+            self.verlet.set_state(state["verlet"])
 
     # -- guarded degradation --------------------------------------------------
     def _check_health(self, manager) -> bool:

@@ -39,6 +39,7 @@ class LennardJones(Potential):
             sig = np.full((n_species, n_species), float(sig))
         if eps.shape != (n_species, n_species) or sig.shape != (n_species, n_species):
             raise ValueError("epsilon/sigma must be scalars or [S, S] matrices")
+        self.n_species = int(n_species)
         self.eps_table = eps
         self.sigma_table = sig
         self.cutoff = float(cutoff)

@@ -1,20 +1,21 @@
-"""Multi-rank force evaluation and MD: the parallel counterpart of
+"""Multi-rank force evaluation: the decomposed force backend of
 :class:`repro.md.simulation.Simulation`.
 
-Per step (the LAMMPS-with-pair_allegro loop):
+There is one MD driver.  As LAMMPS runs one integrator loop and
+``pair_allegro`` supplies forces per rank, :class:`ParallelForceEvaluator`
+plugs into ``Simulation`` in place of a potential; per force call:
 
-1. integrate owned atoms (velocity Verlet half-kick + drift),
-2. forward halo exchange of positions,
-3. every rank evaluates the potential on its owned-center edges,
-4. reverse halo exchange adds ghost force contributions back to owners,
-5. second half-kick (+ thermostat).
+1. forward halo exchange of positions,
+2. every rank evaluates the potential on its owned-center edges,
+3. reverse halo exchange adds ghost force contributions back to owners.
 
 Reneighboring (triggered by the Verlet-skin criterion on the global
 system) rebuilds the partition, migrating atoms between ranks and
-reconstructing ghost sets.
+reconstructing ghost sets.  :class:`ParallelSimulation` is only a
+constructor: ``Simulation`` over an evaluator built from ``n_ranks``.
 
 The evaluator is *exact*: assembled energies and forces equal the serial
-driver's up to floating-point summation order (asserted in tests), which
+backend's up to floating-point summation order (asserted in tests), which
 is the reproduction of the paper's claim that strict locality makes
 spatial decomposition semantically invisible.
 
@@ -33,23 +34,16 @@ one.
 from __future__ import annotations
 
 import copy
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .. import autodiff as ad
-from ..md.integrators import VelocityVerlet
-from ..md.neighborlist import filter_by_pair_cutoffs
-from ..md.simulation import (
-    MDResult,
-    _capture_coupling_state,
-    _restore_coupling_state,
-)
+from ..md.neighborlist import prune_to_pair_cutoffs
+from ..md.simulation import Simulation
 from ..md.system import System
 from ..obs import LATENCY_BUCKETS, MONOTONIC, Registry, get_tracer, span
-from ..resilience.guards import validate_energy_forces
 from .comm import CommError, VirtualCluster
 from .decomposition import DomainDecomposition, RankShard
 from .topology import ProcessGrid
@@ -118,6 +112,8 @@ class ParallelForceEvaluator:
         )
         self._shards: Optional[List[RankShard]] = None
         self._ref_positions: Optional[np.ndarray] = None
+        #: Decomposition builds so far (the VerletList.n_builds analogue).
+        self.n_builds = 0
 
     # Legacy attribute API: the counters now live in the registry.
     @property
@@ -164,6 +160,31 @@ class ParallelForceEvaluator:
             "per_rank": per_rank,
         }
 
+    # -- checkpointable state -------------------------------------------------
+    def get_state(self) -> dict:
+        """Decomposition bookkeeping: shards, reference positions, owners.
+
+        Restoring it (:meth:`set_state`) makes a resumed run follow the
+        identical reneighbor/migration schedule, so it reproduces the
+        uninterrupted trajectory bitwise.
+        """
+        prev = self.decomp._prev_owner
+        return {
+            "shards": copy.deepcopy(self._shards),
+            "ref_positions": (
+                None if self._ref_positions is None else self._ref_positions.copy()
+            ),
+            "prev_owner": None if prev is None else prev.copy(),
+        }
+
+    def set_state(self, state: dict) -> None:
+        """Restore :meth:`get_state` output (extra keys are ignored)."""
+        self._shards = copy.deepcopy(state["shards"])
+        ref = state["ref_positions"]
+        self._ref_positions = None if ref is None else np.array(ref)
+        prev = state["prev_owner"]
+        self.decomp._prev_owner = None if prev is None else np.array(prev)
+
     # -- shard management ---------------------------------------------------
     def _needs_rebuild(self, system: System) -> bool:
         if self._shards is None or self._ref_positions is None:
@@ -182,21 +203,17 @@ class ParallelForceEvaluator:
                 system.wrap()
                 self._shards = self.decomp.build(system)
                 for shard in self._shards:
-                    nl = self.decomp.local_neighbor_list(
-                        shard, self.potential.cutoff + self.skin
+                    shard.nl = prune_to_pair_cutoffs(
+                        self.decomp.local_neighbor_list(
+                            shard, self.potential.cutoff + self.skin
+                        ),
+                        shard.positions,
+                        shard.species,
+                        self.potential,
+                        self.skin,
                     )
-                    pair_cutoffs = getattr(self.potential, "pair_cutoffs", None)
-                    if pair_cutoffs is not None and not np.allclose(
-                        pair_cutoffs, self.potential.cutoff
-                    ):
-                        nl = filter_by_pair_cutoffs(
-                            nl,
-                            shard.positions,
-                            shard.species,
-                            np.asarray(pair_cutoffs) + self.skin,
-                        )
-                    shard.nl = nl
                 self._ref_positions = system.positions.copy()
+                self.n_builds += 1
         else:
             with span("parallel.exchange"):
                 self.decomp.update_ghost_positions(self._shards, system)
@@ -328,15 +345,16 @@ class ParallelForceEvaluator:
         return energy, forces, RankWorkStats(n_owned, n_ghost, n_edges)
 
 
-class ParallelSimulation:
-    """NVE/NVT MD over a virtual cluster (mirrors md.Simulation).
+class ParallelSimulation(Simulation):
+    """:class:`~repro.md.Simulation` over a :class:`ParallelForceEvaluator`.
 
-    Supports the same checkpoint/restart contract as the serial driver:
-    ``run(..., checkpoint_every=, checkpoint_dir=)`` snapshots the global
-    phase space, thermostat internals, cached forces, *and* the evaluator's
-    decomposition bookkeeping (shards + reference positions), so a restored
-    parallel run follows the identical reneighbor/migration schedule and
-    reproduces the uninterrupted trajectory bitwise.
+    Builds the process grid (``grid_dims`` pins a factorization of
+    ``n_ranks``, e.g. a tuned profile's measured-best grid; the default
+    minimizes surface), the virtual cluster and the evaluator, all on one
+    registry tree, and hands the evaluator to the shared step loop.  The
+    loop, checkpoints (which also hold the decomposition bookkeeping, so a
+    restored run reproduces the uninterrupted one bitwise), dumps of the
+    gathered global system, watchdog and callbacks are ``Simulation``'s.
     """
 
     def __init__(
@@ -355,12 +373,6 @@ class ParallelSimulation:
     ) -> None:
         if system.cell is None:
             raise ValueError("parallel MD requires a periodic cell")
-        self.system = system
-        self.potential = potential
-        self.integrator = VelocityVerlet(dt)
-        self.thermostat = thermostat
-        # grid_dims overrides the surface-minimizing default factorization
-        # (how a tuned parallel profile pins the measured-best grid).
         if grid_dims is not None:
             dims = tuple(int(d) for d in grid_dims)
             if int(np.prod(dims)) != int(n_ranks):
@@ -370,13 +382,11 @@ class ParallelSimulation:
             self.grid = ProcessGrid(dims, system.cell)
         else:
             self.grid = ProcessGrid.create(n_ranks, system.cell)
-        # One registry tree spans the cluster, evaluator, and per-rank
-        # compiled engines, so comm bytes and capture counters are one view.
-        self.obs = registry if registry is not None else Registry()
+        registry = registry if registry is not None else Registry()
         self.cluster = VirtualCluster(
-            n_ranks, fault_plan=fault_plan, registry=self.obs
+            n_ranks, fault_plan=fault_plan, registry=registry
         )
-        self.evaluator = ParallelForceEvaluator(
+        evaluator = ParallelForceEvaluator(
             potential,
             self.grid,
             self.cluster,
@@ -384,193 +394,8 @@ class ParallelSimulation:
             engine=engine,
             fault_plan=fault_plan,
             max_retries=max_retries,
-            registry=self.obs,
+            registry=registry,
         )
-        self.step_count = 0
-        self._forces: Optional[np.ndarray] = None
-        self._pe = 0.0
-        self.last_stats: Optional[RankWorkStats] = None
-
-    def stats(self) -> dict:
-        """Unified registry view over comm, engine, and failure counters."""
-        return self.evaluator.stats()
-
-    # -- checkpointable state -------------------------------------------------
-    def get_state(self) -> dict:
-        """Complete restart state (global + decomposition bookkeeping)."""
-        ev = self.evaluator
-        return {
-            "format": 1,
-            "parallel": True,
-            "step_count": self.step_count,
-            "positions": self.system.positions.copy(),
-            "velocities": self.system.velocities.copy(),
-            "cell_lengths": self.system.cell.lengths.copy(),
-            "pe": float(self._pe),
-            "forces": None if self._forces is None else self._forces.copy(),
-            "thermostat": _capture_coupling_state(self.thermostat),
-            "shards": copy.deepcopy(ev._shards),
-            "ref_positions": (
-                None if ev._ref_positions is None else ev._ref_positions.copy()
-            ),
-            "prev_owner": (
-                None
-                if ev.decomp._prev_owner is None
-                else ev.decomp._prev_owner.copy()
-            ),
-        }
-
-    def set_state(self, state: dict) -> None:
-        """Restore :meth:`get_state` output (same system size and ranks)."""
-        if state.get("format") != 1 or not state.get("parallel"):
-            raise ValueError("not a parallel simulation checkpoint")
-        positions = np.asarray(state["positions"], dtype=np.float64)
-        if positions.shape != self.system.positions.shape:
-            raise ValueError(
-                f"checkpoint holds {positions.shape[0]} atoms, "
-                f"simulation has {self.system.n_atoms}"
-            )
-        self.system.positions[...] = positions
-        self.system.velocities[...] = np.asarray(state["velocities"])
-        self.system.cell.lengths[...] = np.asarray(state["cell_lengths"])
-        self.step_count = int(state["step_count"])
-        self._pe = float(state["pe"])
-        self._forces = None if state["forces"] is None else np.array(state["forces"])
-        _restore_coupling_state(self.thermostat, state["thermostat"])
-        ev = self.evaluator
-        ev._shards = copy.deepcopy(state["shards"])
-        ref = state["ref_positions"]
-        ev._ref_positions = None if ref is None else np.array(ref)
-        prev = state["prev_owner"]
-        ev.decomp._prev_owner = None if prev is None else np.array(prev)
-
-    def run(
-        self,
-        n_steps: int,
-        record_every: int = 1,
-        checkpoint_every: Optional[int] = None,
-        checkpoint_dir=None,
-        checkpoint_manager=None,
-        dump_every: Optional[int] = None,
-        dump_path=None,
-        dump_writer=None,
-    ) -> MDResult:
-        """Advance ``n_steps`` across all ranks.
-
-        ``dump_every`` / ``dump_path`` / ``dump_writer`` mirror the serial
-        driver: the driver holds the *gathered* global system (rank-0
-        semantics — per-rank shards are an evaluator detail), so the
-        binary dump writes whole frames on the same absolute-step schedule
-        and kill-and-resume byte identity carries over unchanged.
-        """
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        manager = checkpoint_manager
-        if manager is None and checkpoint_dir is not None:
-            from ..resilience import CheckpointManager
-
-            manager = CheckpointManager(checkpoint_dir)
-        if manager is not None and checkpoint_every is None:
-            checkpoint_every = 100
-        if checkpoint_every is not None and manager is None:
-            raise ValueError(
-                "checkpoint_every needs a checkpoint_dir or checkpoint_manager"
-            )
-        writer = dump_writer
-        owns_writer = False
-        if writer is None and dump_path is not None:
-            from pathlib import Path
-
-            from ..traj import TrajectoryWriter
-
-            resume = self.step_count > 0 and Path(dump_path).exists()
-            writer = TrajectoryWriter(
-                dump_path,
-                system=None if resume else self.system,
-                append_from=self.step_count if resume else None,
-            )
-            owns_writer = True
-        if writer is not None and dump_every is None:
-            dump_every = 10
-        if dump_every is not None and dump_every < 1:
-            raise ValueError("dump_every must be >= 1")
-        if dump_every is not None and writer is None:
-            raise ValueError("dump_every needs a dump_path or dump_writer")
-
-        try:
-            result = self._run_loop(
-                n_steps, record_every, checkpoint_every, manager,
-                dump_every, writer,
-            )
-        except BaseException:
-            if owns_writer:
-                writer.abort()
-            raise
-        if owns_writer:
-            writer.close()
-        return result
-
-    def _run_loop(
-        self,
-        n_steps: int,
-        record_every: int,
-        checkpoint_every: Optional[int],
-        manager,
-        dump_every: Optional[int],
-        writer,
-    ) -> MDResult:
-        times, pes, kes, temps, pairs = [], [], [], [], []
-        if self._forces is None:
-            self._pe, self._forces, self.last_stats = self.evaluator.compute(
-                self.system
-            )
-            validate_energy_forces(self._pe, self._forces, context="initial forces")
-        if manager is not None and not manager.steps():
-            manager.save(self.get_state(), self.step_count)
-        start = self.step_count
-        t0 = time.perf_counter()
-        for k in range(n_steps):
-            self.integrator.half_kick(self.system, self._forces)
-            self.integrator.drift(self.system)
-            self._pe, self._forces, self.last_stats = self.evaluator.compute(
-                self.system
-            )
-            # Fail fast: a non-finite force must never be integrated into
-            # the trajectory (same guard as the serial driver).
-            validate_energy_forces(
-                self._pe, self._forces, context=f"step {self.step_count + 1}"
-            )
-            self.integrator.half_kick(self.system, self._forces)
-            if self.thermostat is not None:
-                self.thermostat.apply(self.system, self.integrator.dt)
-            self.step_count += 1
-            if k % record_every == 0:
-                times.append(self.step_count * self.integrator.dt)
-                pes.append(self._pe)
-                kes.append(self.system.kinetic_energy())
-                temps.append(self.system.temperature())
-                pairs.append(int(self.last_stats.n_edges.sum()))
-            if writer is not None and self.step_count % dump_every == 0:
-                writer.record(
-                    self.step_count,
-                    self.step_count * self.integrator.dt,
-                    self.system,
-                    pe=self._pe,
-                )
-            if (
-                manager is not None
-                and (self.step_count - start) % checkpoint_every == 0
-            ):
-                if writer is not None:
-                    writer.barrier()
-                manager.save(self.get_state(), self.step_count)
-        wall = time.perf_counter() - t0
-        return MDResult(
-            times=np.asarray(times),
-            potential_energies=np.asarray(pes),
-            kinetic_energies=np.asarray(kes),
-            temperatures=np.asarray(temps),
-            pair_counts=np.asarray(pairs),
-            wall_time=wall,
-            n_steps=n_steps,
+        super().__init__(
+            system, evaluator, dt=dt, thermostat=thermostat, registry=registry
         )

@@ -39,8 +39,8 @@ Quickstart::
 """
 
 from ..health import HEALTH_STATES, HealthMonitor, HealthThresholds
+from ..obs import Counter, Gauge, Histogram, Metrics, Registry
 from .batching import ForceRequest, MicroBatcher, concatenate_structures
-from .metrics import Counter, Gauge, Histogram, Metrics, Registry
 from .plancache import PlanCache, SizeClasses
 from .qos import (
     DEFAULT_PRIORITY,

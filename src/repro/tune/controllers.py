@@ -362,9 +362,12 @@ class RepadController(HysteresisController):
         self._last_captures: Optional[float] = None
 
     def _engine(self):
-        if hasattr(self.owner, "set_padding"):
-            return self.owner
-        return getattr(self.owner, "_evaluator", None)
+        # The owner is a CompiledPotential or a Simulation running one; any
+        # other evaluator (eager, decomposed) has no padding to tune.
+        for obj in (self.owner, getattr(self.owner, "evaluator", None)):
+            if hasattr(obj, "set_padding"):
+                return obj
+        return None
 
     def read_signal(self) -> Optional[float]:
         engine = self._engine()

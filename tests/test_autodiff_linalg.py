@@ -1,5 +1,8 @@
 """Unit tests for matmul and einsum, including the precision hooks."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -111,3 +114,51 @@ class TestPrecisionHooks:
     def test_hooks_do_not_leak(self, rng):
         a, b = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
         assert np.allclose(ad.matmul(a, b).data, a @ b)
+
+
+class TestBlockedMatmulScratch:
+    """The tail-block scratch of the row-blocked 2-D matmul kernel."""
+
+    def test_concurrent_callers_match_single_thread_bitwise(self):
+        from repro.autodiff.kernels import _blocked_matmul
+
+        n_threads, n_calls = 4, 1500  # more threads than a small CI host's cores
+        rng = np.random.default_rng(0)
+        b = rng.normal(size=(64, 64))
+        # 200 rows = one full 128-row block + a 72-row tail through the scratch.
+        inputs = [
+            [rng.normal(size=(200, 64)) for _ in range(4)] for _ in range(n_threads)
+        ]
+        expected = [[_blocked_matmul(a, b, None) for a in row] for row in inputs]
+        wrong = [0] * n_threads
+        start = threading.Barrier(n_threads)
+
+        def worker(t):
+            start.wait()
+            for k in range(n_calls):
+                out = _blocked_matmul(inputs[t][k % 4], b, None)
+                wrong[t] += not np.array_equal(out, expected[t][k % 4])
+
+        threads = [
+            threading.Thread(target=worker, args=(t,)) for t in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert wrong == [0] * n_threads
+
+    def test_scratch_is_capped(self):
+        from repro.autodiff import kernels
+
+        rng = np.random.default_rng(1)
+        for k in range(50):
+            a, b = rng.normal(size=(130, 10 + k)), rng.normal(size=(10 + k, 3))
+            np.testing.assert_allclose(kernels._blocked_matmul(a, b, None), a @ b)
+        assert len(kernels._mm_scratch()) <= kernels._MM_SCRATCH_CAP

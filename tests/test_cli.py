@@ -214,6 +214,16 @@ class TestMain:
         out = capsys.readouterr().out
         assert "timesteps/s" in out
 
+    def test_run_rejects_species_beyond_model(self, tmp_path):
+        # Default water uses species {0, 3}; the default Allegro config
+        # declares n_species=2.
+        cfg = json.loads(json.dumps(EXAMPLE_CONFIG))
+        cfg["potential"] = {"kind": "allegro"}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ValueError, match=r"species id 3 .*n_species=2"):
+            main(["run", str(path)])
+
     def test_run_stats_json(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(EXAMPLE_CONFIG))
         cfg["system"] = {"kind": "water", "n_grid": 3}

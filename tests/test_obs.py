@@ -100,14 +100,6 @@ class TestRegistry:
     def test_metrics_alias_is_registry(self):
         assert Metrics is Registry
 
-    def test_serve_metrics_reexport_unchanged(self):
-        from repro.serve.metrics import Metrics as ServeMetrics
-
-        assert ServeMetrics is Registry
-        m = ServeMetrics()
-        m.counter("requests").inc(5)
-        assert m.snapshot()["counters"] == {"requests": 5}
-
     def test_delta_since(self):
         reg = Registry()
         reg.counter("a").inc(2)
@@ -322,7 +314,7 @@ class TestTracing:
 
 
 # ---------------------------------------------------------------------------
-# Timing primitives (canonical home; repro.perf.timing is the shim)
+# Timing primitives
 # ---------------------------------------------------------------------------
 
 
@@ -343,18 +335,6 @@ class TestTiming:
         assert best >= 0.0
         with pytest.raises(ValueError):
             time_callable(lambda: 1, repeat=0)
-
-    def test_perf_timing_shim_warns_but_works(self):
-        from repro.perf.timing import Timer as OldTimer
-        from repro.perf.timing import time_callable as old_time_callable
-
-        with pytest.warns(DeprecationWarning):
-            with OldTimer() as t:
-                pass
-        assert t.elapsed >= 0.0
-        with pytest.warns(DeprecationWarning):
-            best, result = old_time_callable(lambda: 7, repeat=1)
-        assert result == 7
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,13 @@ from repro.perf import (
     POLICIES,
     CachingAllocator,
     PaddingPolicy,
-    Timer,
     apply_policy,
     policy_speed_factor,
     round_f32,
     simulate_md_allocation,
-    time_callable,
     truncate_tf32,
 )
+from repro.obs import Timer, time_callable
 from repro.perf.precision import PrecisionPolicy
 
 

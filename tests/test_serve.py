@@ -39,7 +39,7 @@ from repro.serve import (
     concatenate_structures,
 )
 from repro.serve.batching import ForceRequest
-from repro.serve.metrics import Histogram
+from repro.obs import Histogram
 
 
 def make_system(n=12, seed=0, box=8.0):
