@@ -19,8 +19,6 @@ import numpy as np
 from . import kernels as K
 from .tensor import Tensor, _unbroadcast, astensor
 
-_sigmoid_np = K.sigmoid_np
-
 
 def exp(x) -> Tensor:
     """Elementwise e^x."""

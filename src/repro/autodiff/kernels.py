@@ -20,11 +20,19 @@ Static arguments holding integer index arrays (``gather``/``scatter_add``/
 fancy ``getitem``) keep a reference to the *array object* recorded at
 capture time; the engine rebinds inputs by overwriting those arrays in
 place, so a replayed plan follows the current neighbor list without
-re-capturing.
+re-capturing.  ``gather`` and ``scatter_add`` range-check that index on
+every call, so a bad rebound index raises ``IndexError`` on replay as on
+the tape instead of wrapping.
+
+``scatter_add`` adds into each bin in ascending edge order, as
+``np.add.at`` does.  Padding and batching rely on it: pad edges trail every
+real edge and concatenated structures never share a bin, so neither
+changes what a real bin accumulates, or in which order.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from typing import Callable, Dict
@@ -150,7 +158,12 @@ def put_at(out, g, idx, shape, dtype):
         out = np.zeros(shape, dtype=dtype)
     else:
         out.fill(0)
-    np.add.at(out, idx, g)
+    if _tensor._is_basic_index(idx):
+        # A basic index never repeats an element, so one in-place add is
+        # the same per-element ``0.0 + g`` that ``np.add.at`` performs.
+        out[idx] += g
+    else:
+        np.add.at(out, idx, g)
     return out
 
 
@@ -186,13 +199,23 @@ def tanhk(out, a):
 
 
 def sigmoid_np(v: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function (shared by sigmoid/silu)."""
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    """Numerically stable logistic function (shared by sigmoid/silu).
+
+    ``1 / (1 + exp(-v))`` for ``v >= 0`` and ``e / (1 + e)`` with
+    ``e = exp(v)`` otherwise, evaluated branch-free: ``min(v, -v)`` is
+    ``-v`` on the first branch and ``v`` on the second (and ``v`` itself
+    for NaN, which ``np.minimum`` returns as its first operand), so every
+    element goes through exactly the operations of the two-branch form.
+    ``e <= 1`` never overflows.
+    """
+    e = np.empty_like(v)
+    np.negative(v, out=e)
+    np.minimum(v, e, out=e)
+    np.exp(e, out=e)
+    d = np.add(1.0, e)
+    np.divide(e, d, out=e)
+    np.divide(1.0, d, out=e, where=v >= 0)
+    return e
 
 
 @_kernel("sigmoid")
@@ -410,7 +433,9 @@ def _batched_contract(spec, operands):
             perm = tuple(sw.index(s) for s in (a, b, c))
             w_mat = np.ascontiguousarray(w.transpose(perm))
             na, nb, nc = w_mat.shape
-            outer = x[..., :, None] * y[..., None, :]
+            # One multiply per element, as the broadcast ``x * y`` would do,
+            # but without numpy's short broadcast inner loop.
+            outer = np.einsum("...a,...b->...ab", x, y)
             batch = outer.shape[:-2]
             res = _blocked_matmul(
                 outer.reshape(-1, na * nb), w_mat.reshape(na * nb, nc), None
@@ -471,8 +496,23 @@ def einsumk(out, *operands, spec):
 
 
 # -- indexing / assembly ------------------------------------------------------
+def _check_rows(kernel: str, idx: np.ndarray, n_rows: int) -> None:
+    """Raise ``IndexError`` unless every index lies in ``[0, n_rows)``.
+
+    Checked here rather than at the op so a rebound index on replay fails
+    exactly like the eager call; numpy would wrap a negative index silently.
+    """
+    if idx.size == 0:
+        return
+    lo, hi = idx.min(), idx.max()
+    if lo < 0 or hi >= n_rows:
+        bad = lo if lo < 0 else hi
+        raise IndexError(f"{kernel}: index {int(bad)} out of range for {n_rows} rows")
+
+
 @_kernel("gather")
 def gatherk(out, a, idx):
+    _check_rows("gather", idx, a.shape[0])
     if out is None:
         return a[idx]
     np.take(a, idx, axis=0, out=out)
@@ -481,8 +521,20 @@ def gatherk(out, a, idx):
 
 @_kernel("scatter_add")
 def scatter_addk(out, src, idx, dim_size):
+    _check_rows("scatter_add", idx, dim_size)
+    shape = (dim_size,) + src.shape[1:]
+    if src.dtype == np.float64 and src.ndim >= 1 and src.size:
+        # bincount adds each weight into a zero float64 bin in input order:
+        # the same additions, in the same order, as ``np.add.at``.  (On an
+        # empty input it returns integer bins, hence the ``src.size`` test.)
+        c = math.prod(src.shape[1:])
+        flat = idx.astype(np.intp, copy=False)
+        if c != 1:
+            flat = (flat[:, None] * c + np.arange(c)).ravel()
+        res = np.bincount(flat, weights=src.ravel(), minlength=dim_size * c)
+        return _fill(out, res.reshape(shape))
     if out is None:
-        out = np.zeros((dim_size,) + src.shape[1:], dtype=src.dtype)
+        out = np.zeros(shape, dtype=src.dtype)
     else:
         out.fill(0)
     np.add.at(out, idx, src)

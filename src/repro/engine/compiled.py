@@ -17,9 +17,11 @@ One extra "pad atom" slot (index ``capacity_atoms - 1``, position 0) absorbs
 all pad edges: each pad edge has ``i = j = pad_atom`` and a shift vector of
 ``(cutoff, 0, 0)``, so its distance sits exactly at the cutoff where every
 envelope is identically zero.  Pad edges therefore contribute exactly 0 to
-every real atom's energy and force, and because they occupy the *tail* of the
-edge arrays the ``np.add.at`` accumulation order over real edges is unchanged
-— replayed results are bitwise-identical to the eager tape.
+every real atom's energy and force.  The scatter kernel adds into each atom's
+bin in ascending edge order (as ``np.add.at`` does); pad edges occupy the
+*tail* of the edge arrays and only ever address the pad atom's bin, so every
+real atom's bin receives the same edges in the same order as on the unpadded
+eager tape — replayed results are bitwise-identical to it.
 """
 
 from __future__ import annotations

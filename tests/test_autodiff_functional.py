@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import repro.autodiff as ad
+from repro.autodiff import kernels as K
 
 
 @pytest.fixture
@@ -66,6 +67,52 @@ class TestForwardValues:
         n.sum().backward()
         assert np.isfinite(n.data).all()
         assert np.isfinite(x.grad.data).all()
+
+
+def _two_branch_sigmoid(v):
+    """The masked two-branch logistic the kernel must reproduce bit for bit."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def _bytes_equal(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.reshape(-1).view(np.uint8), b.reshape(-1).view(np.uint8)
+    )
+
+
+class TestSigmoidBitwise:
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0,
+               709.8, -745.2, 5e-324, -5e-324, 1e-300, -1e-300]
+
+    @pytest.fixture(params=[np.float64, np.float32], ids=["f64", "f32"])
+    def values(self, request, rng):
+        v = np.concatenate([self.SPECIAL, rng.normal(size=997) * 20.0])
+        rng.shuffle(v)
+        return v.astype(request.param)
+
+    def test_sigmoid_matches_two_branch_form(self, values):
+        expected = _two_branch_sigmoid(values)
+        with np.errstate(invalid="ignore"):
+            assert _bytes_equal(ad.sigmoid(ad.Tensor(values)).data, expected)
+            buf = np.empty_like(values)
+            assert _bytes_equal(K.sigmoidk(buf, values), expected)
+
+    def test_silu_matches_two_branch_form(self, values):
+        with np.errstate(invalid="ignore"):
+            expected = values * _two_branch_sigmoid(values)
+            assert _bytes_equal(ad.silu(ad.Tensor(values)).data, expected)
+            buf = np.empty_like(values)
+            assert _bytes_equal(K.siluk(buf, values), expected)
+
+    def test_zero_dim_input(self):
+        for v in (0.5, -0.5, 0.0):
+            arr = np.array(v)
+            assert _bytes_equal(K.sigmoid_np(arr), _two_branch_sigmoid(arr))
 
 
 class TestGradients:

@@ -162,3 +162,42 @@ class TestBlockedMatmulScratch:
             a, b = rng.normal(size=(130, 10 + k)), rng.normal(size=(10 + k, 3))
             np.testing.assert_allclose(kernels._blocked_matmul(a, b, None), a @ b)
         assert len(kernels._mm_scratch()) <= kernels._MM_SCRATCH_CAP
+
+
+class TestTensorProductEinsumBitwise:
+    """The fused tensor-product contraction ``P+a, P+b, W -> P+c``."""
+
+    SPECS = ["zua,zub,abc->zuc", "zuc,zub,abc->zua", "zuc,zua,abc->zub"]
+
+    @staticmethod
+    def _broadcast_reference(spec, x, y, w):
+        """Broadcast outer product, then the row-blocked matmul."""
+        from repro.autodiff.kernels import _blocked_matmul
+
+        (sx, sy, sw), so = spec.split("->")[0].split(","), spec.split("->")[1]
+        perm = tuple(sw.index(s) for s in (sx[-1], sy[-1], so[-1]))
+        w_mat = np.ascontiguousarray(w.transpose(perm))
+        na, nb, nc = w_mat.shape
+        outer = x[..., :, None] * y[..., None, :]
+        flat = outer.reshape(-1, na * nb)
+        res = _blocked_matmul(flat, w_mat.reshape(na * nb, nc), None)
+        return res.reshape(outer.shape[:-2] + (nc,))
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("n_pad", [0, 37], ids=["unpadded", "padded"])
+    def test_matches_broadcast_outer_product(self, spec, n_pad, rng):
+        from repro.autodiff.kernels import einsumk
+
+        n_edges = 301
+        x = rng.normal(size=(n_edges, 4, 9))
+        y = rng.normal(size=(n_edges, 4, 9))
+        w = rng.normal(size=(9, 9, 9))
+        expected = self._broadcast_reference(spec, x, y, w)
+        pad = np.zeros((n_pad, 4, 9))
+        xp, yp = np.concatenate([x, pad]), np.concatenate([y, pad])
+        out = ad.einsum(spec, xp, yp, w).data
+        buf = np.empty_like(out)
+        assert einsumk(buf, xp, yp, w, spec=spec) is buf
+        for res in (out, buf):
+            assert res.shape == (n_edges + n_pad, 4, 9)
+            assert np.array_equal(res[:n_edges].view(np.uint8), expected.view(np.uint8))
